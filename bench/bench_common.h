@@ -3,7 +3,8 @@
 
 // Shared helpers for the figure benches. Each bench binary regenerates one
 // figure (or figure group) of the paper's Section 6 as an aligned table;
-// see EXPERIMENTS.md for the paper-vs-measured comparison.
+// measured reference numbers for the library live in perfbench/README.md
+// ("Reference figures").
 //
 // Set MDMATCH_BENCH_FULL=1 to run the paper's full parameter ranges
 // (K up to 80k tuples, card(Σ) up to 2000); the default ranges finish in a

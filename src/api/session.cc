@@ -250,8 +250,8 @@ void MatchSession::RebuildClustersLocked() {
       node[side][record->seq] = uf.Add();
     }
   }
-  for (const auto& [l, r] : raw_matches_.pairs()) {
-    uf.Union(node[0][l], node[1][r]);
+  for (const uint64_t key : raw_matches_) {
+    uf.Union(node[0][key >> 32], node[1][static_cast<uint32_t>(key)]);
   }
   // The canonical handle of a component is the minimum packed (side, seq)
   // over its members — history-independent, so every session publishing
@@ -280,15 +280,15 @@ void MatchSession::RebuildClustersLocked() {
       }
     }
   }
-  clusters_stale_ = false;
 }
 
 void MatchSession::RepairClustersLocked(
-    const std::vector<std::pair<uint32_t, uint32_t>>& dropped) {
-  // Dropping edges can only split the clusters that held them: recompute
-  // connectivity over just those clusters' members and surviving pairs —
-  // O(affected members + standing pairs) — instead of rebuilding the
-  // whole union-find. Handles everywhere else cannot change.
+    const std::vector<std::pair<uint32_t, uint32_t>>& dropped,
+    const std::unordered_set<uint64_t>& removed) {
+  // Dropping edges (and the records a removal takes with them) can only
+  // split the clusters that held them: recompute connectivity over just
+  // those clusters' surviving members. Handles everywhere else cannot
+  // change.
   std::unordered_set<uint64_t> affected;
   for (const auto& [l, r] : dropped) {
     // Both endpoints of a standing pair carry the same handle.
@@ -296,27 +296,42 @@ void MatchSession::RepairClustersLocked(
   }
   match::UnionFind uf;
   std::unordered_map<uint64_t, size_t> node_of;  // packed (side, seq) → node
-  std::vector<ClusterMember> members;
+  std::vector<std::vector<ClusterMember>> clusters;  // survivors per cluster
   for (const uint64_t handle : affected) {
     auto found = cluster_members_.find(handle);
     if (found == cluster_members_.end()) continue;  // already a singleton
+    std::vector<ClusterMember>& survivors = clusters.emplace_back();
     for (const ClusterMember& member : found->second) {
+      // Removed records leave the group; their ids are gone from ids_.
+      if (removed.count(member.packed) != 0) continue;
       node_of.emplace(member.packed, uf.Add());
-      members.push_back(member);
+      survivors.push_back(member);
     }
     cluster_members_.erase(found);
   }
-  for (const auto& [l, r] : raw_matches_.pairs()) {
-    if (affected.count(handle_by_seq_[0][l]) != 0) {
-      uf.Union(node_of[Handle(0, l)], node_of[Handle(1, r)]);
+  // The surviving edges: probe each affected cluster's left × right member
+  // pairs against the standing set.
+  for (const std::vector<ClusterMember>& members : clusters) {
+    for (const ClusterMember& a : members) {
+      if ((a.packed >> 32) != 0) continue;
+      for (const ClusterMember& b : members) {
+        if ((b.packed >> 32) != 1) continue;
+        if (raw_matches_.count(match::PairKey(
+                static_cast<uint32_t>(a.packed),
+                static_cast<uint32_t>(b.packed))) != 0) {
+          uf.Union(node_of[a.packed], node_of[b.packed]);
+        }
+      }
     }
   }
   // Per surviving component: the canonical minimum-packed handle, written
   // back only where it changed, and the member list re-registered when
   // the component still has two or more records.
   std::unordered_map<size_t, std::vector<ClusterMember>> groups;
-  for (const ClusterMember& member : members) {
-    groups[uf.Find(node_of[member.packed])].push_back(member);
+  for (const std::vector<ClusterMember>& members : clusters) {
+    for (const ClusterMember& member : members) {
+      groups[uf.Find(node_of[member.packed])].push_back(member);
+    }
   }
   for (auto& [root, group] : groups) {
     uint64_t handle = UINT64_MAX;
@@ -332,6 +347,22 @@ void MatchSession::RepairClustersLocked(
       }
     }
     if (group.size() >= 2) cluster_members_[handle] = std::move(group);
+  }
+}
+
+void MatchSession::RetirePairsLocked(
+    int side, uint32_t seq,
+    std::vector<std::pair<uint32_t, uint32_t>>* dropped) {
+  auto found = cluster_members_.find(handle_by_seq_[side][seq]);
+  if (found == cluster_members_.end()) return;  // a singleton has no pairs
+  for (const ClusterMember& member : found->second) {
+    if (static_cast<int>(member.packed >> 32) == side) continue;
+    const uint32_t other = static_cast<uint32_t>(member.packed);
+    const uint32_t l = side == 0 ? seq : other;
+    const uint32_t r = side == 0 ? other : seq;
+    if (raw_matches_.erase(match::PairKey(l, r)) == 0) continue;
+    pairs_.Erase(l, r);
+    dropped->emplace_back(l, r);
   }
 }
 
@@ -464,10 +495,9 @@ void MatchSession::AdoptLocked(SharedMatchStatePtr state,
     corpus_trie_[side] = util::PersistentTrie<SessionRecordPtr>();
     ids_[side] = util::PersistentTrie<IdEntry>();
   }
-  raw_matches_ = match::PairSet();
+  raw_matches_ = std::unordered_set<uint64_t>();
   pairs_ = match::PersistentPairSet();
   cluster_members_.clear();
-  clusters_stale_ = false;
   build_stale_ = true;
 
   auto gen = std::make_shared<SessionGeneration>();
@@ -521,14 +551,14 @@ void MatchSession::MaterializeLocked() {
   }
   // Standing pairs: the hash engine from a key-ordered walk, the
   // persistent set by adopting the frozen trie (journal starts empty).
-  raw_matches_ = match::PairSet();
+  raw_matches_.clear();
+  raw_matches_.reserve(state->matches.size());
   auto& raw_matches = raw_matches_;
   state->matches.ForEach([&raw_matches](uint32_t l, uint32_t r) {
-    raw_matches.Add(l, r);
+    raw_matches.insert(match::PairKey(l, r));
   });
   pairs_ = match::PersistentPairSet::FromFrozen(state->matches);
   indexes_ = state->indexes;
-  clusters_stale_ = false;
   build_stale_ = false;
 }
 
@@ -544,7 +574,6 @@ Result<IngestReport> MatchSession::Flush() {
   auto& corpus = corpus_;
   auto& pos_by_seq = pos_by_seq_;
   auto& raw_matches = raw_matches_;
-  auto& ppairs = pairs_;
   auto& indexes = indexes_;
   const MatchPlan& plan = *plan_;
   const bool windowing =
@@ -607,10 +636,12 @@ Result<IngestReport> MatchSession::Flush() {
 
   // --- resolve the staged delta and update the persistent indexes ---
   // `inserted` covers new records and updated ones (an update re-enters
-  // the indexes under its new keys); `retired` holds the handles whose
-  // standing matches must be dropped (removed or updated records).
+  // the indexes under its new keys); `removed` holds the packed handles of
+  // removed records; `dropped` collects every standing pair this flush
+  // retires (with its records, or by window drift) for cluster repair.
   std::vector<std::pair<int, uint32_t>> inserted;  // (side, seq)
-  std::unordered_set<uint64_t> retired;
+  std::unordered_set<uint64_t> removed;
+  std::vector<std::pair<uint32_t, uint32_t>> dropped;
   size_t delta_records = 0;
   const size_t base_size[2] = {corpus_[0].size(), corpus_[1].size()};
   std::vector<std::vector<IndexedEntry>> pass_removes(passes);
@@ -644,7 +675,8 @@ Result<IngestReport> MatchSession::Flush() {
         const uint32_t pos = pos_by_seq_[side][entry->seq];
         const Record& record = *corpus_[side][pos];
         index_out(record, side, /*insert=*/false);
-        retired.insert(Handle(side, record.seq));
+        RetirePairsLocked(side, record.seq, &dropped);
+        removed.insert(Handle(side, record.seq));
         removal_positions.emplace_back(side, pos);
         corpus_trie_[side].Erase(record.seq);
         ids_[side].Erase(id);
@@ -658,12 +690,12 @@ Result<IngestReport> MatchSession::Flush() {
         // for re-evaluation against the new values. The old record object
         // stays untouched — published generations may still reference it;
         // the slot gets a freshly derived record instead. The id entry
-        // (seq, handle) is unchanged; the handle resolves in the rebuild
-        // the retirement forces.
+        // (seq, handle) is unchanged; the handle resolves in the cluster
+        // repair the retirement triggers.
         const uint32_t pos = pos_by_seq_[side][entry->seq];
         const Record& old = *corpus_[side][pos];
         index_out(old, side, /*insert=*/false);
-        retired.insert(Handle(side, old.seq));
+        RetirePairsLocked(side, old.seq, &dropped);
         auto record = std::make_shared<Record>();
         record->seq = old.seq;
         record->keys = RenderKeys(*op, side);
@@ -711,16 +743,7 @@ Result<IngestReport> MatchSession::Flush() {
       }
     }
 
-    if (!retired.empty()) {
-      report.matches_dropped += raw_matches_.RemoveMatching(
-          [&](uint32_t l, uint32_t r) {
-            const bool drop = retired.count(Handle(0, l)) > 0 ||
-                              retired.count(Handle(1, r)) > 0;
-            if (drop) ppairs.Erase(l, r);
-            return drop;
-          });
-      clusters_stale_ = true;
-    }
+    report.matches_dropped += dropped.size();
 
     // Advance the index chain to the next snapshot. A catalog session
     // first consults the shared entry: when a sibling already built this
@@ -740,15 +763,23 @@ Result<IngestReport> MatchSession::Flush() {
             std::move(indexes_), pass_removes, std::move(pass_inserts),
             block_removes, block_inserts, next_version_++);
       }
-      // Gap positions (per pass, sorted) in the post-merge order.
+      // Gap and insertion positions (per pass, sorted) in the post-merge
+      // order.
       if (windowing) {
         gaps_scratch_.assign(passes, {});
+        inserts_scratch_.assign(passes, {});
         for (size_t p = 0; p < passes; ++p) {
+          const SortedKeyIndex& idx = indexes_->window_passes()[p];
           for (const IndexedEntry& e : pass_removes[p]) {
-            gaps_scratch_[p].push_back(
-                indexes_->window_passes()[p].LowerBound(e));
+            gaps_scratch_[p].push_back(idx.LowerBound(e));
+          }
+          for (const auto& [side, seq] : inserted) {
+            inserts_scratch_[p].push_back(idx.LowerBound(
+                {corpus_[side][pos_by_seq_[side][seq]]->keys[p],
+                 static_cast<uint8_t>(side), seq}));
           }
           std::sort(gaps_scratch_[p].begin(), gaps_scratch_[p].end());
+          std::sort(inserts_scratch_[p].begin(), inserts_scratch_[p].end());
         }
       }
     }
@@ -789,8 +820,8 @@ Result<IngestReport> MatchSession::Flush() {
       // their whole time lands in eval_seconds.
       ScopedTimer eval_timer(&report.eval_seconds);
       report.shards_used =
-          windowing ? ShardedWindowFlush(inserted, eval, seq_pair, window,
-                                         &new_matches, &report)
+          windowing ? ShardedWindowFlush(eval, seq_pair, window, &new_matches,
+                                         &report)
                     : ShardedBlockFlush(inserted, eval, &new_matches,
                                         &report);
     } else if (windowing && window >= 2) {
@@ -804,16 +835,12 @@ Result<IngestReport> MatchSession::Flush() {
         auto add_pair = [&](const IndexedEntry& a, const IndexedEntry& b) {
           if (a.side == b.side) return;
           auto [l, r] = seq_pair(a, b);
-          if (!raw_matches.Contains(l, r)) cand.Add(l, r);
+          if (raw_matches.count(match::PairKey(l, r)) == 0) cand.Add(l, r);
         };
         for (size_t p = 0; p < passes; ++p) {
           const SortedKeyIndex& idx = indexes_->window_passes()[p];
           const size_t n = idx.size();
-          for (const auto& [side, seq] : inserted) {
-            const Record& record =
-                *corpus_[side][pos_by_seq_[side][seq]];
-            const size_t center = idx.LowerBound(
-                {record.keys[p], static_cast<uint8_t>(side), seq});
+          for (const size_t center : inserts_scratch_[p]) {
             const size_t lo = center >= window - 1 ? center - (window - 1)
                                                    : 0;
             const size_t hi = std::min(n, center + window);
@@ -861,7 +888,9 @@ Result<IngestReport> MatchSession::Flush() {
           for (uint32_t other : others) {
             const uint32_t l = side == 0 ? seq : other;
             const uint32_t r = side == 0 ? other : seq;
-            if (!raw_matches_.Contains(l, r)) cand.Add(l, r);
+            if (raw_matches_.count(match::PairKey(l, r)) == 0) {
+              cand.Add(l, r);
+            }
           }
         }
       }
@@ -881,107 +910,35 @@ Result<IngestReport> MatchSession::Flush() {
   }
 
   // --- retire standing matches insertions pushed out of every window,
-  //     fold in the new matches, and publish the next generation ---
+  //     repair the clusters that lost an edge, fold in the new matches,
+  //     and publish the next generation ---
   {
     ScopedTimer timer(&report.cluster_seconds);
     if (windowing && window >= 2 && !inserted.empty() &&
-        raw_matches_.size() > 0) {
+        !raw_matches_.empty()) {
       ScopedTimer rerank_timer(&report.rerank_seconds);
-      const auto& widx = indexes_->window_passes();
-      const size_t n = widx.empty() ? 0 : widx[0].size();
-      size_t drifted = 0;
-      std::vector<std::pair<uint32_t, uint32_t>> dropped;
-      // Two exact strategies, chosen by cost. Per-pair rank queries on
-      // the treap cost a logarithmic descent of key comparisons per pair
-      // per pass — fine while standing matches are few. Past that, one
-      // in-order walk per pass ranks *every* record in O(n) with no key
-      // comparisons at all, and pairs are re-ranked by O(1) integer
-      // distance checks against the dense rank table. The table is
-      // indexed by seq, and seqs are never reused — a session that
-      // churned records down leaves the seq space larger than the live
-      // corpus, so bulk also requires the table (next_seq-sized) to stay
-      // proportional to n or the zero-fill would dwarf the walks.
-      const bool bulk =
-          raw_matches_.size() * 8 >= n &&
-          static_cast<size_t>(next_seq_[0]) + next_seq_[1] <= 4 * n;
-      if (bulk) {
-        // rank_of[side][seq * passes + p] = rank in pass p. The scratch
-        // persists across flushes: every live record appears in the
-        // full-index walks below, so each flush overwrites every entry
-        // it can later read (stale slots belong to dead seqs, which no
-        // standing pair references).
-        auto& rank_of = rank_scratch_;
-        rank_of[0].resize(static_cast<size_t>(next_seq_[0]) * passes);
-        rank_of[1].resize(static_cast<size_t>(next_seq_[1]) * passes);
-        std::vector<const IndexedEntry*> span;
-        for (size_t p = 0; p < passes; ++p) {
-          widx[p].SpanInto(0, n, &span);
-          for (size_t i = 0; i < span.size(); ++i) {
-            rank_of[span[i]->side][span[i]->seq * passes + p] =
-                static_cast<uint32_t>(i);
-          }
-        }
-        drifted = raw_matches_.RemoveMatching(
-            [&](uint32_t l, uint32_t r) {
-              const uint32_t* pl =
-                  &rank_of[0][static_cast<size_t>(l) * passes];
-              const uint32_t* pr =
-                  &rank_of[1][static_cast<size_t>(r) * passes];
-              for (size_t p = 0; p < passes; ++p) {
-                const uint32_t dist =
-                    pl[p] > pr[p] ? pl[p] - pr[p] : pr[p] - pl[p];
-                if (dist <= window - 1) return false;  // still a candidate
-              }
-              ppairs.Erase(l, r);
-              dropped.emplace_back(l, r);
-              return true;
-            });
-      } else {
-        drifted = raw_matches_.RemoveMatching(
-            [&](uint32_t l, uint32_t r) {
-              const Record& left = *corpus_[0][pos_by_seq_[0][l]];
-              const Record& right = *corpus_[1][pos_by_seq_[1][r]];
-              for (size_t p = 0; p < passes; ++p) {
-                const size_t pl =
-                    widx[p].LowerBound({left.keys[p], 0, left.seq});
-                const size_t pr =
-                    widx[p].LowerBound({right.keys[p], 1, right.seq});
-                const size_t dist = pl > pr ? pl - pr : pr - pl;
-                if (dist <= window - 1) return false;  // still a candidate
-              }
-              ppairs.Erase(l, r);
-              dropped.emplace_back(l, r);
-              return true;
-            });
-      }
-      if (drifted > 0) {
-        report.matches_dropped += drifted;
-        // Drift only splits clusters that lost an edge: repair those in
-        // place unless a removal / update wave already forced the full
-        // rebuild this flush.
-        if (!clusters_stale_) RepairClustersLocked(dropped);
-      }
+      report.matches_dropped += RerankDriftLocked(&dropped, &report);
     }
 
+    // A bulk wave (initial load, huge catch-up delta) folds in faster
+    // through one full rebuild than through per-pair repair and handle
+    // merges.
+    report.clusters_rebuilt =
+        new_matches.size() * 4 >= corpus_[0].size() + corpus_[1].size();
+    if (!report.clusters_rebuilt && !dropped.empty()) {
+      RepairClustersLocked(dropped, removed);
+    }
     // Fold in the new matches. The persistent pair set's journal nets out
     // same-flush churn for the published parent-delta (a pair retired
-    // above and re-established here appears in neither list); handles
-    // merge incrementally unless a retirement already scheduled the full
-    // rebuild.
-    // A bulk wave (initial load, huge catch-up delta) folds in faster
-    // through one full rebuild than through per-pair handle merges.
-    if (!clusters_stale_ &&
-        new_matches.size() * 4 >= corpus_[0].size() + corpus_[1].size()) {
-      clusters_stale_ = true;
-    }
+    // above and re-established here appears in neither list).
     for (const auto& [l, r] : new_matches) {
-      if (raw_matches_.Add(l, r)) {
+      if (raw_matches_.insert(match::PairKey(l, r)).second) {
         ++report.matches_added;
         pairs_.Add(l, r);
-        if (!clusters_stale_) MergeHandlesLocked(l, r);
+        if (!report.clusters_rebuilt) MergeHandlesLocked(l, r);
       }
     }
-    if (clusters_stale_) RebuildClustersLocked();
+    if (report.clusters_rebuilt) RebuildClustersLocked();
 
     SharedMatchStatePtr published =
         PublishLocked(state_version, alloc_base, &report);
@@ -995,6 +952,101 @@ Result<IngestReport> MatchSession::Flush() {
   report.corpus_right = corpus_[1].size();
   report.total_matches = raw_matches_.size();
   return report;
+}
+
+size_t MatchSession::RerankDriftLocked(
+    std::vector<std::pair<uint32_t, uint32_t>>* dropped,
+    IngestReport* report) {
+  // A standing pair was a candidate in some pass before this flush, and
+  // removals only shrink distances, so it can leave every window only if
+  // inserted entries landed between its endpoints in a pass where at most
+  // window-2 surviving entries separate them. Per pass, each such pair is
+  // found from the leftmost insertion run between its endpoints: the
+  // left endpoint is the i-th surviving entry before the run (no run in
+  // between), the right one the j-th surviving entry after it, and
+  // i + j <= window.
+  const auto& widx = indexes_->window_passes();
+  const size_t window = plan_->options().window_size;
+  // (pair key, still within the window in the pass that found it).
+  std::vector<std::pair<uint64_t, bool>> straddlers;
+  std::vector<const IndexedEntry*> span;
+  for (size_t p = 0; p < widx.size(); ++p) {
+    const SortedKeyIndex& idx = widx[p];
+    const std::vector<size_t>& ins = inserts_scratch_[p];
+    const size_t n = idx.size();
+    size_t run_floor = 0;  // first position after the previous run
+    for (size_t k = 0; k < ins.size();) {
+      const size_t a = ins[k];  // the run [a, b] of inserted positions
+      while (k + 1 < ins.size() && ins[k + 1] == ins[k] + 1) ++k;
+      const size_t b = ins[k++];
+      const size_t lo = std::max(run_floor, a >= window - 1 ? a - (window - 1)
+                                                            : size_t{0});
+      run_floor = b + 1;
+      // Up to window-1 surviving entries after the run, stepping over
+      // later runs.
+      size_t hi = b + 1;
+      for (size_t q = k, found = 0; hi < n && found < window - 1; ++hi) {
+        if (q < ins.size() && ins[q] == hi) {
+          ++q;
+        } else {
+          ++found;
+        }
+      }
+      if (lo == a || hi == b + 1) continue;  // nothing on one side
+      idx.SpanInto(lo, hi, &span);
+      size_t j = 0;
+      for (size_t pos = b + 1, q = k; pos < hi; ++pos) {
+        if (q < ins.size() && ins[q] == pos) {
+          ++q;
+          continue;
+        }
+        ++j;
+        const IndexedEntry& y = *span[pos - lo];
+        const uint64_t hy = handle_by_seq_[y.side][y.seq];
+        for (size_t i = 1; i + j <= window && i <= a - lo; ++i) {
+          const IndexedEntry& x = *span[a - i - lo];
+          // Standing pairs join records of one cluster: comparing the
+          // (possibly coarser, never finer) pre-flush handles filters
+          // out almost every non-pair before the hash probe.
+          if (x.side == y.side || handle_by_seq_[x.side][x.seq] != hy) {
+            continue;
+          }
+          const uint64_t key = x.side == 0 ? match::PairKey(x.seq, y.seq)
+                                           : match::PairKey(y.seq, x.seq);
+          if (raw_matches_.count(key) == 0) continue;
+          straddlers.emplace_back(key, pos - (a - i) <= window - 1);
+        }
+      }
+    }
+  }
+  // Dedupe across passes; a pair some pass already showed within the
+  // window stays, the rest are re-ranked against every pass.
+  std::sort(straddlers.begin(), straddlers.end());
+  size_t drifted = 0;
+  for (size_t i = 0; i < straddlers.size();) {
+    const uint64_t key = straddlers[i].first;
+    bool near = false;
+    for (; i < straddlers.size() && straddlers[i].first == key; ++i) {
+      near = near || straddlers[i].second;
+    }
+    ++report->rerank_pairs_checked;
+    if (near) continue;
+    const uint32_t l = static_cast<uint32_t>(key >> 32);
+    const uint32_t r = static_cast<uint32_t>(key);
+    const Record& left = *corpus_[0][pos_by_seq_[0][l]];
+    const Record& right = *corpus_[1][pos_by_seq_[1][r]];
+    for (size_t p = 0; p < widx.size() && !near; ++p) {
+      const size_t pl = widx[p].LowerBound({left.keys[p], 0, l});
+      const size_t pr = widx[p].LowerBound({right.keys[p], 1, r});
+      near = (pl > pr ? pl - pr : pr - pl) <= window - 1;
+    }
+    if (near) continue;
+    raw_matches_.erase(key);
+    pairs_.Erase(l, r);
+    dropped->emplace_back(l, r);
+    ++drifted;
+  }
+  return drifted;
 }
 
 void MatchSession::EvaluatePairs(
@@ -1122,7 +1174,6 @@ void MatchSession::EvaluatePairsBatch(
 }
 
 size_t MatchSession::ShardedWindowFlush(
-    const std::vector<std::pair<int, uint32_t>>& inserted,
     const std::function<bool(uint32_t, uint32_t)>& eval,
     const std::function<std::pair<uint32_t, uint32_t>(
         const candidate::IndexedEntry&, const candidate::IndexedEntry&)>&
@@ -1138,11 +1189,7 @@ size_t MatchSession::ShardedWindowFlush(
   std::vector<std::vector<uint8_t>> is_delta(passes);
   for (size_t p = 0; p < passes; ++p) {
     is_delta[p].assign(widx[p].size(), 0);
-    for (const auto& [side, seq] : inserted) {
-      const Record& record = *corpus_[side][pos_by_seq_[side][seq]];
-      is_delta[p][widx[p].LowerBound(
-          {record.keys[p], static_cast<uint8_t>(side), seq})] = 1;
-    }
+    for (const size_t pos : inserts_scratch_[p]) is_delta[p][pos] = 1;
   }
 
   const size_t shards = std::min(options_.num_threads, n);
@@ -1178,7 +1225,7 @@ size_t MatchSession::ShardedWindowFlush(
             continue;
           }
           auto [l, r] = seq_pair(a, b);
-          if (raw_matches.Contains(l, r)) continue;
+          if (raw_matches.count(match::PairKey(l, r)) != 0) continue;
           if (!seen.Add(l, r)) continue;
           ++local_evals[w];
           if (eval(l, r)) local[w].emplace_back(l, r);
@@ -1232,7 +1279,9 @@ size_t MatchSession::ShardedBlockFlush(
                              delta.count(Handle(1, r)) == 0) {
                            continue;
                          }
-                         if (raw_matches.Contains(l, r)) continue;
+                         if (raw_matches.count(match::PairKey(l, r)) != 0) {
+                           continue;
+                         }
                          ++local_evals[w];
                          if (eval(l, r)) local[w].emplace_back(l, r);
                        }

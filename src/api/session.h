@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -125,12 +126,21 @@ struct IngestReport {
   double match_seconds = 0;    ///< candidate scans + rule evaluation
   double cluster_seconds = 0;  ///< match revalidation + union-find upkeep
   // Finer-grained phases (each nested inside one aggregate above):
-  double merge_seconds = 0;   ///< index delta merge alone (in index_seconds)
+  double merge_seconds = 0;   ///< index delta merge and delta positions
+                              ///< (in index_seconds)
   double scan_seconds = 0;    ///< candidate scans alone (in match_seconds)
   double eval_seconds = 0;    ///< rule evaluation alone (in match_seconds;
                               ///< sharded flushes fuse scan+eval here)
   double rerank_seconds = 0;  ///< windowing drift re-rank (in
                               ///< cluster_seconds)
+  /// Standing pairs the drift re-rank examined this flush: those that
+  /// straddle an insertion within window reach in some pass. Bounded by
+  /// the delta's neighborhoods, not by the corpus.
+  size_t rerank_pairs_checked = 0;
+  /// True when cluster handles were recomputed from every standing pair
+  /// (a bulk fold); otherwise new matches merged handles and retirements
+  /// repaired only the clusters that lost an edge.
+  bool clusters_rebuilt = false;
   double publish_seconds = 0;  ///< building + swapping in the new
                                ///< SessionGeneration (in cluster_seconds)
   /// Bytes of queryable state the publish step copied (as opposed to
@@ -246,7 +256,8 @@ using SessionGenerationPtr = std::shared_ptr<const SessionGeneration>;
 
 /// \brief A read-only view of one MatchSession generation.
 ///
-/// Obtained lock-free from MatchSession::View(); every accessor answers
+/// Obtained from MatchSession::View() without the writer mutex (one
+/// shared_ptr copy under the publication latch); every accessor answers
 /// from the same pinned generation, so Corpus(), Matches() and Clusters()
 /// read from a view are mutually consistent by construction — exactly
 /// what one-shot Executor::Run over Corpus() would produce — no matter
@@ -323,10 +334,9 @@ class SessionView {
 /// of the sorted order: a flush re-examines pairs pushed together by
 /// removals (they may newly match) and retires standing matches pushed
 /// apart by insertions (they are no longer sorted-neighborhood
-/// candidates) — the latter re-rank resolves every standing pair's
-/// per-pass ranks either by direct index queries or, past a size
-/// threshold, from one ordered walk per pass with comparison-free O(1)
-/// distance checks (see Flush).
+/// candidates). The latter re-rank is delta-local: only standing pairs
+/// that straddle an insertion within window reach can drift out, so a
+/// flush re-checks those alone (see RerankDriftLocked).
 ///
 /// Records are addressed by (side, TupleId): side 0 is the plan's left
 /// relation, side 1 the right. Upserting an existing id replaces its
@@ -341,12 +351,13 @@ class SessionView {
 /// SessionGeneration that Flush swaps in once the next version is fully
 /// built. Queries — Corpus(), Matches(), Clusters(), ClusterOf(),
 /// SameCluster(), the size accessors and View() — never touch the writer
-/// mutex: they acquire the current generation through a publication latch
-/// held only for the pointer copy itself, so read throughput is
-/// independent of flush activity (a reader waits on a concurrent flush
-/// for at most one pointer swap, never for the flush's work). Each query
-/// call answers from one generation; use View() to pin a generation
-/// across several calls.
+/// mutex, but they are not lock-free: each call takes the publication
+/// latch (publish_mu_) for one shared_ptr copy of the current generation.
+/// A reader therefore waits on a concurrent flush for at most one pointer
+/// swap, never for the flush's work, but concurrent readers do contend on
+/// that latch and its refcount. Each query call answers from one
+/// generation; pin a View() to make several calls agree and to pay the
+/// latch once for all of them.
 ///
 /// Note on positions: Matches() / Clusters() address records by position
 /// into the same call's (generation's) Corpus(). A flush that removes
@@ -460,17 +471,34 @@ class MatchSession {
   void RenderDerived(Record* record, int side) const;
   void RebuildPositionsLocked(int side) REQUIRES(mu_);
   /// Recomputes every cluster handle (and the member lists) from the
-  /// standing match graph with a scratch union-find — the O(corpus) slow
-  /// path a flush with retirements takes; match-only flushes maintain
-  /// handles incrementally through MergeHandlesLocked.
+  /// standing match graph with a scratch union-find — the O(corpus) path
+  /// only a bulk fold takes; every other flush repairs and merges handles
+  /// locally (RepairClustersLocked, MergeHandlesLocked).
   void RebuildClustersLocked() REQUIRES(mu_);
-  /// Localized split repair after window-drift retirements: recomputes
-  /// connectivity only for the clusters that lost an edge (`dropped`
-  /// holds the retired pairs), leaving every other handle untouched.
-  /// Exact — a dropped edge cannot split a cluster that did not hold it.
+  /// Localized split repair after retirements: recomputes connectivity
+  /// only for the clusters that lost an edge (`dropped` holds the retired
+  /// pairs), leaving every other handle untouched. Members in `removed`
+  /// (packed (side, seq) of records this flush removed) leave their
+  /// groups. Surviving edges are found by probing each affected cluster's
+  /// left × right member pairs. Exact — a dropped edge cannot split a
+  /// cluster that did not hold it.
   void RepairClustersLocked(
-      const std::vector<std::pair<uint32_t, uint32_t>>& dropped)
+      const std::vector<std::pair<uint32_t, uint32_t>>& dropped,
+      const std::unordered_set<uint64_t>& removed) REQUIRES(mu_);
+  /// Drops every standing pair of the record (side, seq), appending them
+  /// to `dropped`. Its pairs all lie inside its cluster, so probing the
+  /// opposite-side members finds them without scanning the pair set.
+  void RetirePairsLocked(int side, uint32_t seq,
+                         std::vector<std::pair<uint32_t, uint32_t>>* dropped)
       REQUIRES(mu_);
+  /// Windowing drift: drops the standing pairs this flush's insertions
+  /// pushed out of every window, appending them to `dropped`, and returns
+  /// how many. Only a pair that straddles a run of inserted positions
+  /// within window reach can drift out (removals only shrink distances,
+  /// and every standing pair was a candidate in some pass), so only
+  /// those pairs are examined — O(delta · window²), not O(matches).
+  size_t RerankDriftLocked(std::vector<std::pair<uint32_t, uint32_t>>* dropped,
+                           IngestReport* report) REQUIRES(mu_);
   /// Incremental handle maintenance for one new match (l, r): unions the
   /// two clusters under the smaller handle, rewriting only the losing
   /// cluster's members.
@@ -530,7 +558,6 @@ class MatchSession {
   /// workers read only snapshot state and lock-scope aliases (see
   /// EvaluatePairs).
   size_t ShardedWindowFlush(
-      const std::vector<std::pair<int, uint32_t>>& inserted,
       const std::function<bool(uint32_t, uint32_t)>& eval,
       const std::function<std::pair<uint32_t, uint32_t>(
           const candidate::IndexedEntry&, const candidate::IndexedEntry&)>&
@@ -587,12 +614,14 @@ class MatchSession {
   /// last flush (reported as IngestReport::coalesced_deltas).
   size_t pending_coalesced_ GUARDED_BY(mu_) = 0;
 
-  /// Standing raw match pairs as (left seq, right seq), twice: the hash
-  /// PairSet is the O(1) Contains engine the candidate scans probe per
-  /// pair; the persistent set carries the same membership as a trie so
-  /// publishing is an O(1) freeze (it also journals the net added/retired
-  /// delta each flush publishes). Double-maintained on add/retire.
-  match::PairSet raw_matches_ GUARDED_BY(mu_);
+  /// Standing raw match pairs as match::PairKey(left seq, right seq),
+  /// twice: the hash set is the O(1) probe and erase engine of the
+  /// candidate scans, retirement and repair; the persistent set carries
+  /// the same membership as a trie so publishing is an O(1) freeze (it
+  /// also journals the net added/retired delta each flush publishes).
+  /// Double-maintained on add/retire. No order is kept: queries answer
+  /// from the frozen trie.
+  std::unordered_set<uint64_t> raw_matches_ GUARDED_BY(mu_);
   match::PersistentPairSet pairs_ GUARDED_BY(mu_);
 
   /// The current version of the persistent candidate indexes: one sorted
@@ -621,9 +650,8 @@ class MatchSession {
   /// slots after removal, like pos_by_seq_); cluster_members_ lists the
   /// members of every multi-record cluster, keyed by its handle
   /// (singletons are implicit — a record's own packed (side, seq) is its
-  /// handle until it matches). Retirements make handles stale as a whole
-  /// (clusters_stale_) and the next publish rebuilds them from the
-  /// surviving pairs; match-only flushes merge incrementally.
+  /// handle until it matches). Retirements repair the clusters that lost
+  /// an edge, new matches merge handles; only a bulk fold rebuilds.
   struct ClusterMember {
     uint64_t packed;  ///< (side << 32) | seq
     TupleId id;
@@ -631,21 +659,18 @@ class MatchSession {
   std::vector<uint64_t> handle_by_seq_[2] GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::vector<ClusterMember>> cluster_members_
       GUARDED_BY(mu_);
-  bool clusters_stale_ GUARDED_BY(mu_) = false;
 
   /// True after AdoptLocked dropped the build-side containers: the next
   /// flush this session has to build itself first re-materializes them
   /// from the published state (MaterializeLocked).
   bool build_stale_ GUARDED_BY(mu_) = false;
 
-  /// Removal-gap positions per windowing pass, valid during one Flush
-  /// (filled after the index merge, read by the scan paths).
+  /// Per windowing pass, valid during one Flush (filled after the index
+  /// merge, read by the scan paths and the drift re-rank): the sorted
+  /// removal-gap positions and the sorted positions of inserted entries
+  /// in the post-merge order.
   std::vector<std::vector<size_t>> gaps_scratch_ GUARDED_BY(mu_);
-
-  /// Bulk-rerank rank table, reused across flushes so the ~1 MB
-  /// allocation is paid once (every slot a flush reads is rewritten by
-  /// its own full-index walks first).
-  std::vector<uint32_t> rank_scratch_[2] GUARDED_BY(mu_);
+  std::vector<std::vector<size_t>> inserts_scratch_ GUARDED_BY(mu_);
 
   /// Optional pair-decision cache (SessionOptions::pair_cache_capacity).
   /// The pointer is set by the constructor and immutable afterwards; the

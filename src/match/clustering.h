@@ -24,9 +24,10 @@ struct RecordRef {
 /// api::MatchSession standing corpus) can grow the match graph one Union
 /// at a time and answer cluster-membership queries between ingests without
 /// rebuilding. Nodes are dense ids handed out by Add; there is no node or
-/// edge deletion — callers that remove records rebuild from the surviving
-/// match pairs (deletion would require decremental connectivity, which the
-/// ingest-heavy workload does not justify).
+/// edge deletion — callers that drop edges recompute the affected
+/// components from their surviving match pairs (deletion would require
+/// decremental connectivity, which the ingest-heavy workload does not
+/// justify).
 class UnionFind {
  public:
   UnionFind() = default;
@@ -38,8 +39,7 @@ class UnionFind {
 
   /// Representative of x's component. Two nodes are in one cluster iff
   /// their Find results are equal. Path-compresses (cheap, logically
-  /// const — but a *write*, so concurrent Find calls race; readers that
-  /// must run lock-free query a FrozenUnionFind snapshot instead).
+  /// const — but a *write*, so concurrent Find calls race).
   size_t Find(size_t x) const;
 
   /// Joins the components of a and b; returns true when they were
@@ -52,30 +52,6 @@ class UnionFind {
  private:
   mutable std::vector<size_t> parent_;
   std::vector<size_t> size_;
-  size_t components_ = 0;
-};
-
-/// \brief An immutable snapshot of a UnionFind's components.
-///
-/// Every node's representative is resolved once at construction, so Find
-/// is a plain array read with no path-compression writes — the form
-/// cluster state is published in for lock-free concurrent queries
-/// (api::SessionGeneration). Building is O(n) on top of the source's
-/// amortized-inverse-Ackermann walks.
-class FrozenUnionFind {
- public:
-  FrozenUnionFind() = default;
-  explicit FrozenUnionFind(const UnionFind& uf);
-
-  /// Representative of x's component, as resolved at freeze time. Two
-  /// nodes are in one cluster iff their Find results are equal.
-  size_t Find(size_t x) const { return root_[x]; }
-
-  size_t size() const { return root_.size(); }
-  size_t num_components() const { return components_; }
-
- private:
-  std::vector<size_t> root_;
   size_t components_ = 0;
 };
 

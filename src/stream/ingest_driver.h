@@ -62,8 +62,9 @@ struct IngestStats {
 /// burst of updates to one record collapses to its last value
 /// (IngestReport::coalesced_deltas), and flush cost is paid per *cycle*,
 /// not per record. Queries stay what they were: View()/session() answer
-/// lock-free from the latest published generation regardless of what the
-/// flusher is doing.
+/// from the latest published generation without the session's writer
+/// mutex, regardless of what the flusher is doing (each acquire copies
+/// one shared_ptr under the session's publication latch).
 ///
 /// Subscriptions: Subscribe attaches a MatchDeltaSink; after every flush
 /// that publishes a generation the flusher computes one GenerationDiff
@@ -131,8 +132,10 @@ class IngestDriver {
   /// ids.
   bool Unsubscribe(SubscriptionId id) EXCLUDES(subs_mu_);
 
-  /// Lock-free consistent read view of the owned session's latest
-  /// published generation (safe concurrently with everything above).
+  /// Consistent read view of the owned session's latest published
+  /// generation: one shared_ptr copy under the session's publication
+  /// latch, never its writer mutex (safe concurrently with everything
+  /// above).
   api::SessionView View() const { return session_.View(); }
   uint64_t generation() const { return session_.generation(); }
   /// The owned session, for its read API. Ingest through the driver, not

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -16,8 +18,11 @@
 #include "api/executor.h"
 #include "api/plan.h"
 #include "api/session.h"
+#include "candidate/catalog.h"
+#include "candidate/indexed_entry.h"
 #include "datagen/credit_billing.h"
 #include "match/clustering.h"
+#include "match/key_function.h"
 
 namespace mdmatch::api {
 namespace {
@@ -85,6 +90,34 @@ class ApiSessionTest : public testing::Test {
                                                       corpus)));
   }
 
+  /// Cluster handles, bit for bit: every record's published handle is the
+  /// minimum packed (side, seq) over its one-shot cluster.
+  void ExpectCanonicalHandles(const PlanPtr& plan,
+                              const MatchSession& session) {
+    SessionView view = session.View();
+    Instance corpus = view.Corpus();
+    auto oneshot = Executor(plan).Run(corpus);
+    ASSERT_TRUE(oneshot.ok()) << oneshot.status();
+    const SharedMatchState& state = *view.state()->state;
+    auto entry = [&](const match::RecordRef& ref) {
+      const Relation& rel = ref.side == 0 ? corpus.left() : corpus.right();
+      return state.ids[ref.side].Get(rel.tuple(ref.index).id());
+    };
+    const match::Clustering clustering =
+        match::ClusterMatches(oneshot->matches, corpus);
+    for (const auto& cluster : clustering.clusters()) {
+      uint64_t expected = UINT64_MAX;
+      for (const auto& ref : cluster) {
+        ASSERT_NE(entry(ref), nullptr);
+        expected = std::min(expected, (static_cast<uint64_t>(ref.side) << 32) |
+                                          entry(ref)->seq);
+      }
+      for (const auto& ref : cluster) {
+        EXPECT_EQ(entry(ref)->handle, expected);
+      }
+    }
+  }
+
   /// The full incremental scenario of the acceptance criteria: several
   /// Upsert deltas, removals, and in-place updates, flushed separately.
   void RunIncrementalScenario(const PlanPtr& plan, size_t num_threads) {
@@ -128,6 +161,113 @@ class ApiSessionTest : public testing::Test {
     ASSERT_TRUE(session.Flush().ok());
     ExpectSessionEqualsOneShot(plan, session);
     EXPECT_GT(session.Matches().size(), 0u);
+  }
+
+  // Insert-only waves of fillers whose sort keys equal the earlier endpoint
+  // of a standing match, in every pass: `window` of them land between the
+  // endpoints, so the pair drifts out of every window and must be retired
+  // by the delta-local re-rank. Each wave prefers pairs whose closest pass
+  // holds them exactly window-1 apart — the far edge of the re-rank's
+  // reach. A catalog sibling ingesting the same waves (alternately
+  // building and adopting) must publish the same state.
+  void RunDriftWaves(const PlanPtr& plan, size_t threads) {
+    auto catalog = std::make_shared<candidate::IndexCatalog>();
+    SessionOptions options;
+    options.num_threads = threads;
+    options.min_pairs_per_thread = 1;
+    options.catalog = catalog;
+    options.corpus_id = "drift";
+    MatchSession session(plan, options);
+    MatchSession sibling(plan, options);
+    for (MatchSession* s : {&session, &sibling}) {
+      for (int side = 0; side < 2; ++side) {
+        const Relation& rel =
+            side == 0 ? data_.instance.left() : data_.instance.right();
+        for (const Tuple& t : rel.tuples()) {
+          ASSERT_TRUE(s->Upsert(side, t).ok());
+        }
+      }
+      ASSERT_TRUE(s->Flush().ok());
+    }
+
+    const size_t window = plan->options().window_size;
+    const size_t passes = plan->sort_keys().size();
+    TupleId next_id = 1u << 30;
+    size_t drifted = 0;
+    size_t edge_pairs = 0;
+    for (size_t wave = 0; wave < 3; ++wave) {
+      SessionView view = session.View();
+      Instance corpus = view.Corpus();
+      auto pairs = SortedPairs(view.Matches());
+      ASSERT_GT(pairs.size(), 3u);
+      const SharedMatchState& state = *view.state()->state;
+      // Per pass, the rank of each endpoint of pair i.
+      auto ranks = [&](size_t i, size_t p) {
+        const auto [l, r] = pairs[i];
+        const Tuple& lt = corpus.left().tuple(l);
+        const Tuple& rt = corpus.right().tuple(r);
+        const auto& idx = state.indexes->window_passes()[p];
+        const match::KeyFunction& key = plan->sort_keys()[p];
+        return std::pair{
+            idx.LowerBound(
+                {key.Render(lt, 0), 0, state.ids[0].Get(lt.id())->seq}),
+            idx.LowerBound(
+                {key.Render(rt, 1), 1, state.ids[1].Get(rt.id())->seq})};
+      };
+      std::vector<size_t> picks;
+      for (size_t n = 0; n < pairs.size() && picks.size() < 2; ++n) {
+        const size_t i = (wave * 31 + n) % pairs.size();
+        size_t closest = SIZE_MAX;
+        for (size_t p = 0; p < passes; ++p) {
+          const auto [pl, pr] = ranks(i, p);
+          closest = std::min(closest, pl > pr ? pl - pr : pr - pl);
+        }
+        if (closest == window - 1) picks.push_back(i);
+      }
+      edge_pairs += picks.size();
+      picks.push_back((wave * 17 + 5) % pairs.size());
+
+      std::vector<std::pair<int, Tuple>> fillers;
+      for (const size_t i : picks) {
+        const Tuple* ends[2] = {&corpus.left().tuple(pairs[i].first),
+                                &corpus.right().tuple(pairs[i].second)};
+        for (size_t p = 0; p < passes; ++p) {
+          const auto [pl, pr] = ranks(i, p);
+          const int first = pr < pl ? 1 : 0;
+          std::vector<bool> keep(ends[first]->arity(), false);
+          for (const auto& element : plan->sort_keys()[p].elements()) {
+            keep[first == 0 ? element.attrs.left : element.attrs.right] = true;
+          }
+          for (size_t k = 0; k < window; ++k) {
+            std::vector<std::string> values = ends[first]->values();
+            for (size_t a = 0; a < values.size(); ++a) {
+              if (!keep[a]) values[a] = "~filler-" + std::to_string(next_id);
+            }
+            fillers.emplace_back(first, Tuple(next_id++, std::move(values)));
+          }
+        }
+      }
+      // Alternate which session builds the transition and which adopts it.
+      MatchSession* order[2] = {&session, &sibling};
+      if (wave % 2 == 1) std::swap(order[0], order[1]);
+      for (MatchSession* s : order) {
+        for (const auto& [side, tuple] : fillers) {
+          ASSERT_TRUE(s->Upsert(side, tuple).ok());
+        }
+        auto report = s->Flush();
+        ASSERT_TRUE(report.ok()) << report.status();
+        EXPECT_EQ(report->removed, 0u);
+        if (s == order[0]) drifted += report->matches_dropped;
+      }
+      for (MatchSession* s : {&session, &sibling}) {
+        ExpectSessionEqualsOneShot(plan, *s);
+        ExpectCanonicalHandles(plan, *s);
+      }
+      EXPECT_EQ(SortedPairs(sibling.Matches()),
+                SortedPairs(session.Matches()));
+    }
+    EXPECT_GT(drifted, 0u) << "no standing pair drifted out of every window";
+    EXPECT_GT(edge_pairs, 0u) << "no standing pair sat at the window edge";
   }
 
   sim::SimOpRegistry ops_;
@@ -281,7 +421,7 @@ TEST_F(ApiSessionTest, ClusterMembershipQueries) {
 }
 
 // Removing the only billing record bridging a cluster must split it (the
-// stale union-find is rebuilt from the surviving pairs).
+// clusters that lost an edge are repaired from their surviving pairs).
 TEST_F(ApiSessionTest, RemovalSplitsClusters) {
   auto plan = BuildPlan();
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -314,6 +454,230 @@ TEST_F(ApiSessionTest, RemovalSplitsClusters) {
     }
   }
   GTEST_SKIP() << "no shared billing match in this dataset";
+}
+
+TEST_F(ApiSessionTest, InsertDriftRetiresPairsExactly) {
+  auto plan = BuildPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (size_t threads : {1, 4}) {
+    RunDriftWaves(*plan, threads);
+  }
+}
+
+// Removing or rewriting a record that bridges a multi-member cluster must
+// split it; the local repair (no full rebuild) must leave exactly the
+// one-shot clusters and canonical handles.
+TEST_F(ApiSessionTest, BridgeRemovalAndUpdateRepairClustersLocally) {
+  auto plan = BuildPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (size_t threads : {1, 4}) {
+    SessionOptions options;
+    options.num_threads = threads;
+    options.min_pairs_per_thread = 1;
+    MatchSession session(*plan, options);
+    UpsertRange(&session, 0, data_.instance.left().size());
+    ASSERT_TRUE(session.Flush().ok());
+
+    size_t splits = 0;
+    for (size_t wave = 0; wave < 4; ++wave) {
+      // Bridges: members whose pairs are a cluster's only link between
+      // two others — a record matched to two partners that share no other
+      // partner path is a cut vertex of a 3+-member cluster.
+      Instance corpus = session.Corpus();
+      auto pairs = SortedPairs(session.Matches());
+      std::vector<std::pair<int, uint32_t>> bridges;
+      for (int side = 0; side < 2 && bridges.size() < 4; ++side) {
+        const size_t n = side == 0 ? corpus.left().size()
+                                   : corpus.right().size();
+        for (uint32_t x = 0; x < n && bridges.size() < 4; ++x) {
+          // Connectivity of x's cluster without x, by a tiny union-find.
+          match::UnionFind uf(corpus.left().size() + corpus.right().size());
+          size_t degree = 0;
+          for (const auto& [l, r] : pairs) {
+            if ((side == 0 && l == x) || (side == 1 && r == x)) {
+              ++degree;
+              continue;
+            }
+            uf.Union(l, corpus.left().size() + r);
+          }
+          if (degree < 2) continue;
+          std::vector<size_t> partners;
+          for (const auto& [l, r] : pairs) {
+            if (side == 0 && l == x) {
+              partners.push_back(corpus.left().size() + r);
+            }
+            if (side == 1 && r == x) partners.push_back(l);
+          }
+          bool cut = false;
+          for (size_t partner : partners) {
+            cut = cut || uf.Find(partner) != uf.Find(partners[0]);
+          }
+          if (cut) bridges.emplace_back(side, x);
+        }
+      }
+      if (bridges.empty()) break;
+      const size_t clusters_before = session.Clusters().num_clusters();
+      for (size_t i = 0; i < bridges.size(); ++i) {
+        const auto [side, pos] = bridges[i];
+        const Tuple& t = side == 0 ? corpus.left().tuple(pos)
+                                   : corpus.right().tuple(pos);
+        if ((i + wave) % 2 == 0) {
+          ASSERT_TRUE(session.Remove(side, t.id()).ok());
+        } else {
+          Tuple updated = t;
+          for (size_t a = 0; a < updated.arity(); ++a) {
+            updated.set_value(static_cast<AttrId>(a),
+                              "~rw" + std::to_string(t.id()) + "-" +
+                                  std::to_string(a));
+          }
+          ASSERT_TRUE(session.Upsert(side, std::move(updated)).ok());
+        }
+      }
+      auto report = session.Flush();
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_FALSE(report->clusters_rebuilt);
+      EXPECT_GE(report->matches_dropped, bridges.size());
+      ExpectSessionEqualsOneShot(*plan, session);
+      ExpectCanonicalHandles(*plan, session);
+      if (session.Clusters().num_clusters() > clusters_before) ++splits;
+    }
+    EXPECT_GT(splits, 0u) << "no wave split a cluster";
+  }
+}
+
+// The drift re-rank's work is bounded by the insertion's neighborhoods:
+// a one-record insert examines at most passes * (window-1)^2 standing
+// pairs, at 1k and 4k standing records alike — while the standing match
+// set (what a re-rank of every pair would touch) grows past that bound.
+// The count is not the same number on both corpora: it is the number of
+// standing pairs the insert lands between, at most window-1 apart in some
+// pass, and the denser corpus puts other records (and pairs) next to the
+// insert. So each flush's count is checked against exactly that set,
+// rebuilt from the corpus and the sort keys apart from the session; a
+// walk that reached further into a larger corpus would overcount. The
+// inserts are copies of endpoints of pairs standing in both corpora, so
+// each lands next to an endpoint, among matched records.
+TEST_F(ApiSessionTest, OneInsertRerankWorkIsCorpusIndependent) {
+  datagen::CreditBillingOptions gen;
+  gen.num_base = 1200;
+  gen.seed = 56;
+  sim::SimOpRegistry ops;
+  datagen::CreditBillingData data = datagen::GenerateCreditBilling(gen, &ops);
+  auto plan = PlanBuilder(data.pair, data.target, &ops)
+                  .WithSigma(data.mds)
+                  .WithTrainingInstance(&data.instance)
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const size_t window = (*plan)->options().window_size;
+  const size_t bound =
+      (*plan)->sort_keys().size() * (window - 1) * (window - 1);
+  const Relation& left = data.instance.left();
+  const Relation& right = data.instance.right();
+  ASSERT_GE(left.size(), 2000u);
+  ASSERT_GE(right.size(), 2000u);
+
+  MatchSession small(*plan);
+  MatchSession large(*plan);
+  for (auto [session, standing] : {std::pair{&small, size_t{1000}},
+                                   std::pair{&large, size_t{4000}}}) {
+    for (size_t i = 0; i < standing / 2; ++i) {
+      ASSERT_TRUE(session->Upsert(0, left.tuple(i)).ok());
+      ASSERT_TRUE(session->Upsert(1, right.tuple(i)).ok());
+    }
+    ASSERT_TRUE(session->Flush().ok());
+  }
+  EXPECT_GT(large.Matches().size(), bound);
+
+  // Rows [0, 500) of both sides stand in both corpora, so a pair matched
+  // in the small corpus and (by ids) in the large one names the same rows.
+  auto standing_rows = [](const MatchSession& session) {
+    Instance corpus = session.Corpus();
+    const match::MatchResult matches = session.Matches();
+    std::vector<std::pair<TupleId, TupleId>> ids;
+    for (const auto& [l, r] : matches.pairs()) {
+      ids.emplace_back(corpus.left().tuple(l).id(),
+                       corpus.right().tuple(r).id());
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto in_small = standing_rows(small);
+  const auto in_large = standing_rows(large);
+  std::vector<std::pair<TupleId, TupleId>> common;
+  std::set_intersection(in_small.begin(), in_small.end(), in_large.begin(),
+                        in_large.end(), std::back_inserter(common));
+  ASSERT_FALSE(common.empty());
+  // Copies of both endpoints of up to 16 such pairs, one per flush.
+  std::vector<std::pair<int, const Tuple*>> originals;
+  for (size_t c = 0; c < common.size() && c < 16; ++c) {
+    for (size_t i = 0; i < 500; ++i) {
+      if (left.tuple(i).id() == common[c].first) {
+        originals.emplace_back(0, &left.tuple(i));
+      }
+      if (right.tuple(i).id() == common[c].second) {
+        originals.emplace_back(1, &right.tuple(i));
+      }
+    }
+  }
+  ASSERT_GE(originals.size(), 2u);
+
+  // Standing pairs that `tuple`, inserted on `side`, lands between in some
+  // pass while they sit at most window-1 apart. Only appends reach these
+  // sessions, so a record's seq is its corpus position.
+  auto straddled = [&](const MatchSession& session, int side,
+                       const Tuple& tuple) {
+    const Instance corpus = session.Corpus();
+    const Relation* rel[2] = {&corpus.left(), &corpus.right()};
+    const match::MatchResult matches = session.Matches();
+    std::set<std::pair<uint32_t, uint32_t>> found;
+    for (const match::KeyFunction& key : (*plan)->sort_keys()) {
+      std::vector<candidate::IndexedEntry> order;
+      for (uint8_t s = 0; s < 2; ++s) {
+        for (uint32_t i = 0; i < rel[s]->size(); ++i) {
+          order.push_back({key.Render(rel[s]->tuple(i), s), s, i});
+        }
+      }
+      std::sort(order.begin(), order.end());
+      std::vector<size_t> rank[2] = {std::vector<size_t>(rel[0]->size()),
+                                     std::vector<size_t>(rel[1]->size())};
+      for (size_t k = 0; k < order.size(); ++k) {
+        rank[order[k].side][order[k].seq] = k;
+      }
+      const candidate::IndexedEntry inserted{
+          key.Render(tuple, side), static_cast<uint8_t>(side),
+          static_cast<uint32_t>(rel[side]->size())};
+      const size_t at = static_cast<size_t>(
+          std::lower_bound(order.begin(), order.end(), inserted) -
+          order.begin());
+      for (const auto& [l, r] : matches.pairs()) {
+        const size_t lo = std::min(rank[0][l], rank[1][r]);
+        const size_t hi = std::max(rank[0][l], rank[1][r]);
+        if (lo < at && at <= hi && hi - lo <= window - 1) {
+          found.emplace(l, r);
+        }
+      }
+    }
+    return found.size();
+  };
+
+  for (MatchSession* session : {&small, &large}) {
+    size_t checked = 0;
+    for (size_t k = 0; k < originals.size(); ++k) {
+      const auto [side, original] = originals[k];
+      Tuple copy((1u << 30) + k, original->values());
+      const size_t expected = straddled(*session, side, copy);
+      ASSERT_TRUE(session->Upsert(side, std::move(copy)).ok());
+      auto report = session->Flush();
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->upserted, 1u);
+      EXPECT_FALSE(report->clusters_rebuilt);
+      EXPECT_LE(report->rerank_pairs_checked, bound);
+      EXPECT_EQ(report->rerank_pairs_checked, expected);
+      checked += report->rerank_pairs_checked;
+    }
+    EXPECT_GT(checked, 0u) << "no standing pair straddled an insert";
+  }
+  ExpectSessionEqualsOneShot(*plan, large);
 }
 
 TEST_F(ApiSessionTest, ValidatesArgs) {

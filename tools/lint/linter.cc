@@ -87,8 +87,8 @@ constexpr const char* kLayers[] = {"util",    "schema", "sim",
 /// match/ forwarding headers over types relocated into candidate/ — the
 /// one sanctioned back-edge (kept so old spellings stay alive).
 constexpr const char* kLayeringExempt[] = {
-    "src/match/block_index.h", "src/match/sorted_index.h",
-    "src/match/sorted_neighborhood.h", "src/match/windowing.h"};
+    "src/match/block_index.h", "src/match/sorted_neighborhood.h",
+    "src/match/windowing.h"};
 
 /// Frozen types: immutable after construction/publication. An entry with
 /// an empty path_part applies everywhere; otherwise the declaration must
@@ -99,7 +99,7 @@ struct FrozenType {
 };
 constexpr FrozenType kFrozenTypes[] = {
     {"SessionGeneration", ""},  {"IndexSnapshot", ""},
-    {"FrozenUnionFind", ""},    {"Node", "sorted_index"},
+    {"Node", "sorted_index"},
     {"Node", "block_index"},    {"Block", "block_index"},
     {"SharedMatchState", ""},   {"FrozenPairSet", ""},
     {"FrozenTrie", ""},         {"Node", "persistent_trie"},

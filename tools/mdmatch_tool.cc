@@ -614,6 +614,9 @@ int CmdStream(const Args& args) {
                 report.scan_seconds, report.eval_seconds,
                 report.rerank_seconds, report.index_seconds,
                 report.match_seconds, report.cluster_seconds);
+    std::printf("  upkeep: rerank checked %zu standing pairs, clusters %s\n",
+                report.rerank_pairs_checked,
+                report.clusters_rebuilt ? "rebuilt" : "repaired locally");
     std::printf("  publish: %.4fs%s, %zu bytes copied\n",
                 report.publish_seconds,
                 report.match_reused ? " (match state reused)" : "",
