@@ -13,9 +13,9 @@
 
 #include "api/executor.h"
 #include "bench_common.h"
+#include "candidate/sorted_neighborhood.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/sorted_neighborhood.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
@@ -56,10 +56,10 @@ int main() {
     double t_rck =
         run->timings.candidate_seconds + run->timings.match_seconds;
 
-    SnResult sn_result;
+    candidate::SnResult sn_result;
     double t_sn = bench::TimedSeconds([&] {
-      sn_result =
-          SortedNeighborhood(data.instance, ops, window_keys, hs_rules);
+      sn_result = candidate::SortedNeighborhood(data.instance, ops,
+                                                window_keys, hs_rules);
     });
     MatchQuality q_sn = Evaluate(sn_result.matches, data.instance);
 

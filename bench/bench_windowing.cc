@@ -7,9 +7,9 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "candidate/sorted_neighborhood.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/sorted_neighborhood.h"
 #include "match/windowing.h"
 
 using namespace mdmatch;
@@ -30,7 +30,7 @@ int main() {
     auto deduction = bench::DeduceRcks(data, &ops);
     const auto& rcks = deduction.rcks;
     std::vector<MatchRule> rck_rules(rcks.begin(), rcks.end());
-    auto rck_keys = SortKeysFromRules(rck_rules, data.pair, 3);
+    auto rck_keys = candidate::SortKeysFromRules(rck_rules, data.pair, 3);
     auto manual_keys = StandardWindowKeys(data.pair);
 
     CandidateQuality rck_q = EvaluateCandidates(

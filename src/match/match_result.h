@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,8 +20,25 @@ inline constexpr uint64_t PairKey(uint32_t left_index, uint32_t right_index) {
 ///
 /// Used both for declared matches and for candidate pairs produced by
 /// blocking / windowing (whose PC and RR metrics count distinct pairs).
+///
+/// `pairs()` lists the distinct pairs in first-insertion order; executors
+/// evaluate candidates and report matches in that order, so it is part of
+/// the bit-identical Executor/session contract. Membership is a flat
+/// open-addressing table of `PairKey`s: linear probing over a power-of-two
+/// capacity kept at most half full, indexed by a full 64-bit mix (windowed
+/// keys cluster in their low, right-index bits). A distinct pair costs
+/// 8 B in `pairs()` plus 16–32 B of table, with no heap node per pair.
+/// There is no erase: a set only grows. The all-ones key, PairKey(MAX, MAX),
+/// marks empty slots, so that one pair is tracked by a flag instead.
 class PairSet {
  public:
+  PairSet() = default;
+  PairSet(const PairSet&) = default;
+  PairSet& operator=(const PairSet&) = default;
+  /// A moved-from set is empty and usable.
+  PairSet(PairSet&& other) noexcept;
+  PairSet& operator=(PairSet&& other) noexcept;
+
   /// Adds (left_index, right_index); returns true if newly inserted.
   bool Add(uint32_t left_index, uint32_t right_index);
 
@@ -35,12 +51,19 @@ class PairSet {
     return pairs_;
   }
 
-  /// Inserts every pair of `other`.
+  /// Inserts every pair of `other`, in `other`'s order.
   void Merge(const PairSet& other);
 
  private:
-  static uint64_t Key(uint32_t l, uint32_t r) { return PairKey(l, r); }
-  std::unordered_set<uint64_t> index_;
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  /// The slot holding `key`, or the free slot that ends its probe run.
+  size_t SlotOf(uint64_t key) const;
+  /// Doubles the table (or allocates the first one) and reinserts.
+  void Grow();
+
+  std::vector<uint64_t> slots_;  ///< PairKeys; kEmpty = free slot
+  bool has_empty_key_ = false;   ///< PairKey(MAX, MAX) is in the set
   std::vector<std::pair<uint32_t, uint32_t>> pairs_;
 };
 

@@ -96,7 +96,9 @@ class ApiCatalogTest : public testing::Test {
         auto ha = a.ClusterOf(side, id);
         auto hb = b.ClusterOf(side, id);
         ASSERT_EQ(ha.ok(), hb.ok()) << "side " << side << " row " << i;
-        if (ha.ok()) EXPECT_EQ(*ha, *hb) << "side " << side << " row " << i;
+        if (ha.ok()) {
+          EXPECT_EQ(*ha, *hb) << "side " << side << " row " << i;
+        }
       }
     }
   }

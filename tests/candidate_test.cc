@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -201,8 +202,16 @@ TEST(WindowingFrontEndTest, MatchesLegacySemanticsOnGeneratedData) {
   ASSERT_GE(keys.size(), 2u);
 
   // Reference: per pass, stable_sort full entry vectors (the pre-refactor
-  // implementation), then slide the window.
-  auto reference = [&](const match::KeyFunction& key, size_t window) {
+  // implementation), then slide the window. Dedup across all passes keeps
+  // each pair's first emission, with a std::set so the expected order does
+  // not rest on PairSet.
+  using Pair = std::pair<uint32_t, uint32_t>;
+  struct Reference {
+    std::set<Pair> seen;
+    std::vector<Pair> pairs;
+  };
+  auto reference_pass = [&](const match::KeyFunction& key, size_t window,
+                            Reference* out) {
     struct Entry {
       std::string key;
       uint32_t index;
@@ -220,31 +229,27 @@ TEST(WindowingFrontEndTest, MatchesLegacySemanticsOnGeneratedData) {
                      [](const Entry& a, const Entry& b) {
                        return a.key < b.key;
                      });
-    match::CandidateSet out;
     for (size_t i = 0; i < entries.size(); ++i) {
       const size_t hi = std::min(entries.size(), i + window);
       for (size_t j = i + 1; j < hi; ++j) {
         if (entries[i].side == entries[j].side) continue;
-        if (entries[i].side == 0) {
-          out.Add(entries[i].index, entries[j].index);
-        } else {
-          out.Add(entries[j].index, entries[i].index);
-        }
+        const Pair pair = entries[i].side == 0
+                              ? Pair{entries[i].index, entries[j].index}
+                              : Pair{entries[j].index, entries[i].index};
+        if (out->seen.insert(pair).second) out->pairs.push_back(pair);
       }
     }
-    return out;
   };
 
   for (const size_t window : {2u, 5u, 10u}) {
-    match::CandidateSet expected;
-    for (const auto& key : keys) {
-      expected.Merge(reference(key, window));
-    }
+    Reference expected;
+    for (const auto& key : keys) reference_pass(key, window, &expected);
+    ASSERT_FALSE(expected.pairs.empty());
     const match::CandidateSet got =
         WindowCandidatesMultiPass(data.instance, keys, window);
     // Same pairs in the same order — executors evaluate candidates in
     // this order, so ordering is part of the bit-identical contract.
-    EXPECT_EQ(got.pairs(), expected.pairs()) << "window " << window;
+    EXPECT_EQ(got.pairs(), expected.pairs) << "window " << window;
   }
   EXPECT_EQ(WindowCandidates(data.instance, keys[0], 1).size(), 0u);
   EXPECT_EQ(

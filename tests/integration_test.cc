@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "candidate/sorted_neighborhood.h"
 #include "core/closure.h"
 #include "core/enforce.h"
 #include "core/find_rcks.h"
@@ -13,7 +14,6 @@
 #include "match/evaluation.h"
 #include "match/fellegi_sunter.h"
 #include "match/hs_rules.h"
-#include "match/sorted_neighborhood.h"
 #include "match/windowing.h"
 
 namespace mdmatch {
@@ -190,7 +190,7 @@ TEST_F(PipelineTest, EnforcementOnSampleSatisfiesDeducedKeys) {
 }
 
 TEST_F(PipelineTest, WindowingWithRckKeysHasHighPairsCompleteness) {
-  auto rck_keys = match::SortKeysFromRules(
+  auto rck_keys = candidate::SortKeysFromRules(
       std::vector<MatchRule>(rcks_.begin(), rcks_.end()), data_.pair, 3);
   auto candidates =
       match::WindowCandidatesMultiPass(data_.instance, rck_keys, 10);

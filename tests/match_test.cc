@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "datagen/credit_billing.h"
 #include "match/blocking.h"
 #include "match/comparison.h"
@@ -60,6 +66,207 @@ TEST(PairSetTest, PairsPreserveInsertionOrder) {
   ASSERT_EQ(s.pairs().size(), 2u);
   EXPECT_EQ(s.pairs()[0], (std::pair<uint32_t, uint32_t>{5, 6}));
   EXPECT_EQ(s.pairs()[1], (std::pair<uint32_t, uint32_t>{1, 2}));
+}
+
+// An independent PairSet model: a std::set seen-set plus the vector of
+// first insertions.
+struct ReferencePairSet {
+  bool Add(uint32_t l, uint32_t r) {
+    if (!seen.insert({l, r}).second) return false;
+    pairs.emplace_back(l, r);
+    return true;
+  }
+  bool Contains(uint32_t l, uint32_t r) const { return seen.count({l, r}); }
+
+  std::set<std::pair<uint32_t, uint32_t>> seen;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+};
+
+void ExpectSame(const PairSet& s, const ReferencePairSet& ref) {
+  ASSERT_EQ(s.size(), ref.pairs.size());
+  EXPECT_EQ(s.empty(), ref.pairs.empty());
+  EXPECT_EQ(s.pairs(), ref.pairs);
+  for (const auto& [l, r] : ref.pairs) ASSERT_TRUE(s.Contains(l, r));
+}
+
+// Adds the same pair to both and checks the return values agree.
+void AddBoth(PairSet* s, ReferencePairSet* ref, uint32_t l, uint32_t r) {
+  const bool expected = ref->Add(l, r);
+  ASSERT_EQ(s->Add(l, r), expected) << "(" << l << "," << r << ")";
+}
+
+constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+
+// A seeded Add stream: clustered runs (one left, consecutive rights, as
+// windowing emits), re-adds of earlier pairs, uniform keys, and the four
+// boundary keys, growing through several table resizes.
+void RandomStream(uint64_t seed, size_t target, PairSet* s,
+                  ReferencePairSet* ref) {
+  std::mt19937_64 rng(seed);
+  const std::pair<uint32_t, uint32_t> boundary[] = {
+      {0, 0}, {0, kMax}, {kMax, 0}, {kMax, kMax}};
+  while (ref->pairs.size() < target) {
+    switch (rng() % 4) {
+      case 0: {  // clustered run, possibly wrapping past kMax
+        const uint32_t l = static_cast<uint32_t>(rng() % 64);
+        uint32_t r = rng() % 2 ? static_cast<uint32_t>(rng() % 256)
+                               : kMax - static_cast<uint32_t>(rng() % 8);
+        for (size_t n = 1 + rng() % 48; n > 0; --n) {
+          AddBoth(s, ref, l, r++);
+        }
+        break;
+      }
+      case 1:  // heavy duplication
+        for (size_t n = 1 + rng() % 16; n > 0 && !ref->pairs.empty(); --n) {
+          const auto [l, r] = ref->pairs[rng() % ref->pairs.size()];
+          AddBoth(s, ref, l, r);
+        }
+        break;
+      case 2:
+        AddBoth(s, ref, static_cast<uint32_t>(rng()),
+                static_cast<uint32_t>(rng()));
+        break;
+      default:
+        if (rng() % 32 == 0) {
+          const auto [l, r] = boundary[rng() % 4];
+          AddBoth(s, ref, l, r);
+        }
+        break;
+    }
+  }
+}
+
+TEST(PairSetTest, PropertyMatchesReferenceOverRandomStreams) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    PairSet s;
+    ReferencePairSet ref;
+    ExpectSame(s, ref);
+    // 16 initial slots, half full: ~12 doublings to hold 20k pairs.
+    RandomStream(seed, 20000, &s, &ref);
+    ExpectSame(s, ref);
+
+    // Absent keys: neighbours of present ones (the clustered case) and
+    // uniform ones, answered as the reference answers them.
+    std::mt19937_64 rng(seed + 1000);
+    for (size_t n = 0; n < 20000; ++n) {
+      const auto [l, r] = ref.pairs[rng() % ref.pairs.size()];
+      const uint32_t ql = rng() % 2 ? l : l + 1;
+      const uint32_t qr = r + static_cast<uint32_t>(rng() % 3) - 1;
+      ASSERT_EQ(s.Contains(ql, qr), ref.Contains(ql, qr));
+      const uint32_t ul = static_cast<uint32_t>(rng());
+      const uint32_t ur = static_cast<uint32_t>(rng());
+      ASSERT_EQ(s.Contains(ul, ur), ref.Contains(ul, ur));
+    }
+  }
+}
+
+TEST(PairSetTest, AbsentKeysAnswerAtEveryFillLevel) {
+  // A lookup probes until a free slot; checking after every Add catches a
+  // table allowed to fill up at any of its capacities.
+  PairSet s;
+  for (uint32_t r = 0; r < 4096; ++r) {
+    ASSERT_TRUE(s.Add(3, r));
+    ASSERT_FALSE(s.Contains(4, r)) << r;
+    ASSERT_FALSE(s.Contains(kMax, kMax)) << r;
+  }
+}
+
+TEST(PairSetTest, AllOnesKeyIsAnOrdinaryMember) {
+  // PairKey(MAX, MAX) is the table's empty-slot marker; as a pair it must
+  // behave like any other, before and across growth.
+  PairSet s;
+  ReferencePairSet ref;
+  EXPECT_FALSE(s.Contains(kMax, kMax));
+  AddBoth(&s, &ref, 7, 7);
+  EXPECT_FALSE(s.Contains(kMax, kMax));
+  AddBoth(&s, &ref, kMax, kMax);
+  AddBoth(&s, &ref, kMax, kMax);
+  for (uint32_t r = 0; r < 1000; ++r) AddBoth(&s, &ref, kMax, r);
+  AddBoth(&s, &ref, kMax, kMax);
+  EXPECT_TRUE(s.Contains(kMax, kMax));
+  EXPECT_FALSE(s.Contains(kMax, kMax - 1));
+  ExpectSame(s, ref);
+  EXPECT_EQ(s.pairs()[1], (std::pair<uint32_t, uint32_t>{kMax, kMax}));
+
+  PairSet only;
+  EXPECT_TRUE(only.Add(kMax, kMax));
+  EXPECT_FALSE(only.Add(kMax, kMax));
+  EXPECT_EQ(only.size(), 1u);
+  EXPECT_FALSE(only.Contains(0, 0));
+}
+
+TEST(PairSetTest, MergeMatchesReferenceIncludingSelfMerge) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    PairSet a, b;
+    ReferencePairSet ref_a, ref_b;
+    RandomStream(seed, 3000, &a, &ref_a);
+    RandomStream(seed + 100, 5000, &b, &ref_b);
+    // Overlap: b also holds a prefix of a's pairs.
+    for (size_t i = 0; i < ref_a.pairs.size(); i += 3) {
+      const auto [l, r] = ref_a.pairs[i];
+      AddBoth(&b, &ref_b, l, r);
+    }
+
+    a.Merge(b);
+    for (const auto& [l, r] : ref_b.pairs) ref_a.Add(l, r);
+    ExpectSame(a, ref_a);
+    ExpectSame(b, ref_b);
+
+    a.Merge(a);
+    ExpectSame(a, ref_a);
+    PairSet empty;
+    a.Merge(empty);
+    empty.Merge(a);
+    ExpectSame(a, ref_a);
+    ExpectSame(empty, ref_a);
+  }
+}
+
+TEST(PairSetTest, CopiesAndMovesStayIndependentAndUsable) {
+  PairSet a;
+  ReferencePairSet ref_a;
+  RandomStream(7, 2000, &a, &ref_a);
+  AddBoth(&a, &ref_a, kMax, kMax);
+
+  // Copy construction and assignment: later Adds touch one side only.
+  PairSet copy(a);
+  ReferencePairSet ref_copy = ref_a;
+  PairSet assigned;
+  assigned.Add(1, 1);
+  assigned = a;
+  ReferencePairSet ref_assigned = ref_a;
+  RandomStream(8, 3000, &copy, &ref_copy);
+  RandomStream(9, 2500, &assigned, &ref_assigned);
+  AddBoth(&a, &ref_a, 123456, 654321);
+  ExpectSame(a, ref_a);
+  ExpectSame(copy, ref_copy);
+  ExpectSame(assigned, ref_assigned);
+
+  // Move construction and assignment: the target takes the contents, the
+  // source is left empty and keeps working.
+  PairSet moved(std::move(copy));
+  ExpectSame(moved, ref_copy);
+  ReferencePairSet ref_empty;
+  ExpectSame(copy, ref_empty);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(copy.Contains(kMax, kMax));
+  PairSet move_assigned;
+  move_assigned.Add(2, 2);
+  move_assigned = std::move(assigned);
+  ExpectSame(move_assigned, ref_assigned);
+  ExpectSame(assigned, ref_empty);  // NOLINT(bugprone-use-after-move)
+
+  ReferencePairSet ref_reused;
+  RandomStream(10, 1500, &copy, &ref_reused);
+  AddBoth(&copy, &ref_reused, kMax, kMax);
+  AddBoth(&assigned, &ref_empty, kMax, kMax);
+  AddBoth(&assigned, &ref_empty, 0, 0);
+  ExpectSame(copy, ref_reused);
+  ExpectSame(assigned, ref_empty);
+  ExpectSame(moved, ref_copy);
+  ExpectSame(move_assigned, ref_assigned);
+  ExpectSame(a, ref_a);
 }
 
 // ------------------------------------------------------- ComparisonVector

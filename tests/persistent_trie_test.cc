@@ -51,7 +51,9 @@ TEST(PersistentTrieTest, SetGetEraseMatchesReference) {
         const int* got = trie.Get(key);
         auto it = ref.find(key);
         ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << key;
-        if (got != nullptr) EXPECT_EQ(*got, it->second);
+        if (got != nullptr) {
+          EXPECT_EQ(*got, it->second);
+        }
         break;
       }
     }
